@@ -117,12 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "2 = super-shard groups with pairwise upward row merges "
         "(memory-bounded at very large n)",
     )
-    p.add_argument(
-        "--adaptive-shards",
-        action="store_true",
-        help="re-plan the shard size from two timed probe solves instead "
-        "of using --shards verbatim",
-    )
 
     p = sub.add_parser("compare", help="heuristic vs baselines on one instance")
     _add_instance_args(p)
@@ -397,7 +391,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         num_shards=args.shards,
         num_workers=args.workers,
         shard_levels=args.shard_levels,
-        adaptive_shard_sizing=args.adaptive_shards,
     )
     if args.shards > 1:
         from repro.core.sharded import ShardedAllocator

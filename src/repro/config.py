@@ -54,11 +54,9 @@ class SolverConfig:
             measure the contribution of the per-cluster moves alone.
         seed: seed for the randomized client orderings; ``None`` draws one
             from the OS.
-        parallel_clusters: evaluate candidate clusters with a process pool
-            (the paper's "distributed decision making").  Pure speed knob;
-            results are identical.
-        num_workers: pool size when ``parallel_clusters`` is set; ``None``
-            means one worker per cluster.
+        num_workers: worker-pool size of the sharded and distributed
+            solvers; ``None`` means one worker per shard (capped at the
+            CPU count) or one per cluster, respectively.
         use_vectorized_kernels: compute the eq.-(16) profit curves and the
             traffic-split DP with the NumPy kernels
             (:func:`repro.core.assign.batched_server_curves`,
@@ -87,12 +85,6 @@ class SolverConfig:
             (differentially verified).  Only takes effect together with
             ``use_vectorized_kernels``; the scalar path stays a cache-free
             reference oracle.
-        curve_cache_max_entries: eviction bound for the per-(client,
-            server-signature) curve store; crossing it clears the curve
-            and DP stores (simple, predictable, never stale).
-        dp_cache_max_entries: eviction bound for the DP combination table
-            store, and for the auxiliary activation/incumbent/dispersion
-            stores.
         cluster_bandwidth_prices: per-cluster overrides of
             ``bandwidth_shadow_price`` as a sorted tuple of
             ``(cluster_id, price)`` pairs; clusters not listed keep the
@@ -109,8 +101,6 @@ class SolverConfig:
         shard_coordination_rounds: price-coordination rounds after the
             initial shard solves (each round re-prices clusters from the
             merged usage summary and lets every shard warm-improve).
-        shard_price_gain: sensitivity of the per-cluster price update,
-            ``price_k = base * (1 + gain * utilization_k)``.
         shard_final_rounds: full improvement rounds run sequentially on
             the *merged* allocation after coordination ends — the
             hierarchy's repair step (the per-cluster distributed solver
@@ -119,25 +109,18 @@ class SolverConfig:
             (cross-shard placements, global share rebalancing) become
             available; this is what closes most of the sharding gap.
         shard_levels: depth of the sharded solver's coordinator tree.
-            1 (the default) is the flat PR-6 topology: one coordinator
-            sees every shard spec and merges every row set.  2 groups
-            shards into super-shards: the root coordinates super-shard
-            summaries only, each super-shard coordinates its own member
-            shards, and row merges climb the tree pairwise — so no
-            single merge call ever materializes more than one level's
-            rows.  The shard *plan* is identical at every level (the
-            tree only changes who coordinates whom), and the merged
-            allocation is bitwise-identical to the flat merge of the
-            same plan (property-tested).
-        adaptive_shard_sizing: re-plan the shard size from measured
-            per-shard solve cost.  The first coordination round times
-            every shard solve; if the observed cost per client is
-            superlinear in shard size (it is — the local search's
-            shutdown sweep is quadratic-ish in hosted clients), the
-            plan is re-cut toward the measured sweet spot before the
-            remaining rounds.  Off by default: re-cutting changes which
-            clients share a shard, hence the merged result (still
-            audit-clean, but not bit-comparable to the fixed plan).
+            1 (the default) is flat: every shard sits in one group, so
+            one merge sees every row set.  2 groups four or more shards
+            into ~sqrt(S) super-shards: each group dispatches and merges
+            its own member shards, and the root merges the group tables
+            — so no single merge call ever materializes more than one
+            level's rows.  Both depths run the same coordinator loop
+            over the same shard *plan* (the depth only picks the
+            grouping), and a round's grouped merge is bitwise-identical
+            to the flat merge of the same shard results
+            (property-tested).  Straggler routing stays inside a
+            group, so the two depths diverge only once a coordination
+            round moves a client between shards.
         use_txn_shutdown: roll back rejected server-shutdown candidates
             with the undo-log transaction machinery instead of a full
             snapshot/restore.  A rejected candidate then costs
@@ -150,13 +133,6 @@ class SolverConfig:
             ulp drift) even though it is semantically exact; profiles
             that require bit-reproducibility with historical runs keep
             the snapshot path.
-        parallel_polish: partition each merged-state polish round
-            (``shard_final_rounds``) by cluster across the persistent
-            worker pool — the DistributedAllocator pattern applied to
-            the sharded solver's repair step — instead of improving the
-            merged state sequentially.  A final sequential reassignment
-            pass restores the cross-cluster move, exactly as in
-            :class:`~repro.core.distributed.DistributedAllocator`.
     """
 
     num_initial_solutions: int = 3
@@ -169,23 +145,17 @@ class SolverConfig:
     stability_margin: float = 1.05
     include_cluster_reassignment: bool = True
     seed: Optional[int] = None
-    parallel_clusters: bool = False
     num_workers: Optional[int] = None
     use_vectorized_kernels: bool = True
     use_delta_scoring: bool = True
     validate_delta_scoring: bool = False
     use_curve_cache: bool = True
-    curve_cache_max_entries: int = 200_000
-    dp_cache_max_entries: int = 200_000
     cluster_bandwidth_prices: Optional[Tuple[Tuple[int, float], ...]] = None
     num_shards: int = 1
     shard_coordination_rounds: int = 1
-    shard_price_gain: float = 0.5
     shard_final_rounds: int = 3
     shard_levels: int = 1
-    adaptive_shard_sizing: bool = False
     use_txn_shutdown: bool = False
-    parallel_polish: bool = False
 
     def __post_init__(self) -> None:
         if self.num_initial_solutions < 1:
@@ -206,10 +176,6 @@ class SolverConfig:
             raise ConfigurationError("stability_margin must be >= 1")
         if self.num_workers is not None and self.num_workers < 1:
             raise ConfigurationError("num_workers must be >= 1 when given")
-        if self.curve_cache_max_entries < 1:
-            raise ConfigurationError("curve_cache_max_entries must be >= 1")
-        if self.dp_cache_max_entries < 1:
-            raise ConfigurationError("dp_cache_max_entries must be >= 1")
         if self.cluster_bandwidth_prices is not None:
             seen = set()
             for pair in self.cluster_bandwidth_prices:
@@ -233,8 +199,6 @@ class SolverConfig:
             raise ConfigurationError("num_shards must be >= 1")
         if self.shard_coordination_rounds < 0:
             raise ConfigurationError("shard_coordination_rounds must be >= 0")
-        if self.shard_price_gain < 0:
-            raise ConfigurationError("shard_price_gain must be >= 0")
         if self.shard_final_rounds < 0:
             raise ConfigurationError("shard_final_rounds must be >= 0")
         if self.shard_levels not in (1, 2):

@@ -51,7 +51,8 @@ bit-parity end to end).  Invalidation therefore never has to guess:
 * **dispersion resplits** are keyed on the exact branch rates — pure
   value keys that cannot go stale.
 
-Size is bounded per store: crossing the configured limit clears the
+Size is bounded per store: crossing the limit (:data:`MAX_CURVE_ENTRIES`
+for curve blocks, :data:`MAX_AUX_ENTRIES` for the others) clears the
 store (the DP memo together with the block store).  Clearing is always
 safe — the cache is an accelerator, never a source of truth.
 
@@ -71,6 +72,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.model.client import Client
 
 from repro.exceptions import SolverError
+
+#: Eviction bound of the per-client curve block store; crossing it clears
+#: the block and DP stores (simple, predictable, never stale).
+MAX_CURVE_ENTRIES = 200_000
+#: Eviction bound of the DP table store and of the auxiliary
+#: activation/incumbent/dispersion stores.
+MAX_AUX_ENTRIES = 200_000
 
 #: Grid-point record of an activation profile:
 #: ``(g, phi_p, phi_b, cost_new_branch)`` for each feasible grid point.
@@ -154,20 +162,12 @@ class MemoCache:
     def __init__(
         self,
         config: "SolverConfig",
-        max_curve_entries: Optional[int] = None,
-        max_aux_entries: Optional[int] = None,
+        max_curve_entries: int = MAX_CURVE_ENTRIES,
+        max_aux_entries: int = MAX_AUX_ENTRIES,
     ) -> None:
         self.config = config
-        self.max_curve_entries = (
-            max_curve_entries
-            if max_curve_entries is not None
-            else config.curve_cache_max_entries
-        )
-        self.max_aux_entries = (
-            max_aux_entries
-            if max_aux_entries is not None
-            else config.dp_cache_max_entries
-        )
+        self.max_curve_entries = max_curve_entries
+        self.max_aux_entries = max_aux_entries
         self._owner: Optional["WorkingState"] = None
         #: ``client_id -> CurveBlock`` (one block per client).
         self._blocks: Dict[int, CurveBlock] = {}

@@ -265,9 +265,7 @@ class DistributedAllocator:
         # Workers improve a single cluster; the cross-cluster move runs in
         # the final sequential pass instead.
         self.config = base
-        self._worker_config = replace(
-            base, include_cluster_reassignment=False, parallel_clusters=False
-        )
+        self._worker_config = replace(base, include_cluster_reassignment=False)
         self._pool_manager = WorkerPool()
 
     # -- pool lifecycle ------------------------------------------------------

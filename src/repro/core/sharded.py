@@ -62,7 +62,6 @@ from repro.core.assign import batched_server_curves
 from repro.core.cache import maybe_attach_cache
 from repro.core.delta import DeltaScorer
 from repro.core.distributed import WorkerPool
-from repro.core.local_search import reassignment_pass
 from repro.core.state import ClusterUsage, WorkingState
 from repro.model.allocation import Allocation, AllocationRows
 from repro.model.cluster import Cluster
@@ -72,6 +71,10 @@ from repro.optim.dp import NEG_INF
 
 #: The per-cluster price tuple shipped to shards (None = flat base price).
 PriceTuple = Optional[Tuple[Tuple[int, float], ...]]
+
+#: Sensitivity of the coordinator's per-cluster price update,
+#: ``price_k = base * (1 + SHARD_PRICE_GAIN * utilization_k)``.
+SHARD_PRICE_GAIN = 0.5
 
 
 @dataclass(frozen=True)
@@ -97,8 +100,8 @@ class ShardRoundResult:
     cache_stats: Dict[str, int]
     nonce: Tuple[int, int]
     #: Wall seconds the worker spent inside this round's solve/improve
-    #: (excludes dispatch); drives adaptive shard sizing and the scale
-    #: benchmark's per-shard cost statistics.
+    #: (excludes dispatch); feeds the scale benchmark's per-shard cost
+    #: statistics.
     solve_seconds: float = 0.0
 
 
@@ -367,40 +370,6 @@ def _shard_improve_task(
     return replace(result, solve_seconds=time.perf_counter() - started)
 
 
-def _polish_cluster_task(
-    task: Tuple[int, Tuple, int]
-) -> AllocationRows:
-    """One polish round on a single cluster's slice of the merged state.
-
-    The parallel-polish variant of the repair step: the coordinator
-    partitions the merged allocation by cluster (the natural seam — a
-    polish round's share/dispersion/power moves are all cluster-local,
-    only the reassignment pass crosses clusters, and that runs
-    sequentially afterwards), and each task replays the
-    :class:`~repro.core.distributed.DistributedAllocator` worker recipe:
-    rebuild the cluster subproblem from the shared system plus compact
-    row deltas, run one improvement round, ship the rows back.
-    """
-    cluster_id, rows, seed = task
-    assert distributed._WORKER_SYSTEM is not None
-    assert distributed._WORKER_CONFIG is not None
-    config = distributed._WORKER_CONFIG
-    sub_system, sub_allocation = distributed._subproblem_from_rows(
-        distributed._WORKER_SYSTEM, cluster_id, rows
-    )
-    state = WorkingState(sub_system, sub_allocation)
-    if config.use_delta_scoring:
-        DeltaScorer(state, validate=config.validate_delta_scoring)
-    maybe_attach_cache(state, config)
-    state.canonicalize()
-    if state.scorer is not None:
-        state.scorer.mark_all()
-        state.scorer.resync()
-    rng = np.random.default_rng(seed)
-    ResourceAllocator(config).improvement_round(state, rng)
-    return state.export_rows()
-
-
 class _InlineExecutor:
     """Drop-in for the worker pool when only one worker would exist.
 
@@ -424,73 +393,6 @@ class _InlineExecutor:
 
 
 # -- coordinator --------------------------------------------------------------
-
-
-#: Candidate shard sizes the adaptive planner chooses between, and the
-#: two probe sizes it measures.  The floor keeps shards large enough
-#: that the merged gap stays repairable; the ceiling keeps the probe
-#: itself cheap.
-_ADAPTIVE_CANDIDATES = (48, 64, 96, 128, 192, 256, 384, 512)
-_ADAPTIVE_PROBE_SIZES = (192, 96)
-#: Estimated fixed cost per shard dispatch (runtime build + rows export
-#: + result shipping), folded into the adaptive cost model so it does
-#: not pick absurdly small shards.
-_ADAPTIVE_OVERHEAD_SECONDS = 0.05
-
-
-def _adaptive_shard_count(
-    system: CloudSystem, worker_config: SolverConfig, planned_count: int
-) -> Tuple[int, Dict[str, float]]:
-    """Pick the shard count from two measured probe solves.
-
-    The per-shard solve cost is superlinear in shard size (the local
-    search's shutdown sweep re-snapshots per candidate), so the optimal
-    size balances that against per-shard fixed overhead.  Two probe
-    shards — representative strided slices of sizes
-    ``_ADAPTIVE_PROBE_SIZES`` — are solved inline and timed; fitting
-    ``cost(s) = c * s**gamma`` through the two points gives the
-    superlinearity exponent, and the total-cost model
-    ``n/s * (cost(s) + overhead)`` is evaluated over the candidate
-    sizes.  Returns the new shard count plus the probe telemetry
-    (exposed in the scale benchmark).
-    """
-    n = system.num_clients
-    sizes = [min(size, max(1, n // 2)) for size in _ADAPTIVE_PROBE_SIZES]
-    if sizes[0] == sizes[1] or n < 4 * _ADAPTIVE_PROBE_SIZES[1]:
-        return planned_count, {}
-    measured: List[Tuple[int, float]] = []
-    for size in sizes:
-        spec = plan_shards(system, max(1, round(n / size)))[0]
-        sub = shard_subsystem(system, spec)
-        probe_config = replace(
-            worker_config,
-            seed=0 if worker_config.seed is None else worker_config.seed,
-        )
-        started = time.perf_counter()
-        ResourceAllocator(probe_config).solve(sub)
-        measured.append((len(spec.client_ids), time.perf_counter() - started))
-    (s1, t1), (s2, t2) = measured
-    if t1 <= 0 or t2 <= 0 or s1 == s2:
-        return planned_count, {}
-    gamma = float(np.log(t1 / t2) / np.log(s1 / s2))
-    gamma = min(max(gamma, 1.0), 3.0)
-    scale = t2 / (s2**gamma)
-
-    def total_cost(size: int) -> float:
-        per_shard = scale * (size**gamma) + _ADAPTIVE_OVERHEAD_SECONDS
-        return (n / size) * per_shard
-
-    best_size = min(_ADAPTIVE_CANDIDATES, key=total_cost)
-    count = max(1, min(round(n / best_size), n, system.num_servers))
-    telemetry = {
-        "probe_size_large": float(s1),
-        "probe_seconds_large": t1,
-        "probe_size_small": float(s2),
-        "probe_seconds_small": t2,
-        "gamma": gamma,
-        "chosen_shard_size": float(best_size),
-    }
-    return count, telemetry
 
 
 def _super_shard_groups(count: int) -> List[range]:
@@ -523,7 +425,7 @@ def _coordination_prices(
     pairs = []
     for kid in sorted(used):
         utilization = used[kid] / servers[kid] if servers[kid] else 0.0
-        pairs.append((kid, base * (1.0 + config.shard_price_gain * utilization)))
+        pairs.append((kid, base * (1.0 + SHARD_PRICE_GAIN * utilization)))
     return tuple(pairs)
 
 
@@ -622,15 +524,12 @@ class ShardedAllocator:
         base = config or SolverConfig()
         self.config = base
         # Shards run the full heuristic (they hold every cluster's slice,
-        # so cross-cluster reassignment stays on); nested sharding and
-        # nested pools are off.
-        self._worker_config = replace(
-            base, parallel_clusters=False, num_shards=1
-        )
+        # so cross-cluster reassignment stays on); nested sharding is off.
+        self._worker_config = replace(base, num_shards=1)
         self._pool_manager = WorkerPool()
-        #: Telemetry of the most recent :meth:`solve` — shard count,
-        #: adaptive-probe fit, aggregate per-shard solve seconds.  Read by
-        #: the scale benchmark; not part of the result contract.
+        #: Telemetry of the most recent :meth:`solve` — shard count and
+        #: aggregate per-shard solve seconds.  Read by the scale
+        #: benchmark; not part of the result contract.
         self.last_telemetry: Dict[str, object] = {}
 
     def close(self) -> None:
@@ -646,16 +545,8 @@ class ShardedAllocator:
     def solve(self, system: CloudSystem) -> AllocationResult:
         started = time.perf_counter()
         config = self.config
-        self.last_telemetry = {}
         count = max(1, min(config.num_shards, system.num_clients, system.num_servers))
-        if config.adaptive_shard_sizing and count > 1:
-            count, probe_info = _adaptive_shard_count(
-                system, self._worker_config, count
-            )
-            count = max(1, min(count, system.num_clients, system.num_servers))
-            if probe_info:
-                self.last_telemetry["adaptive"] = probe_info
-        self.last_telemetry["shard_count"] = count
+        self.last_telemetry = {"shard_count": count}
         if count <= 1:
             # Degenerate partition: the hierarchy adds nothing over the
             # plain heuristic, so run it directly.
@@ -674,99 +565,74 @@ class ShardedAllocator:
         seed_source = np.random.default_rng(config.seed)
         rounds = config.shard_coordination_rounds
         seeds = seed_source.integers(0, 2**31 - 1, size=(rounds + 1, count))
-
         if config.shard_levels == 2 and count >= 4:
-            return self._solve_two_tier(system, specs, pool, seeds, started)
-
-        results: List[ShardRoundResult] = list(
-            pool.map(
-                _shard_solve_task,
-                [
-                    (spec, int(seeds[0, i]), None)
-                    for i, spec in enumerate(specs)
-                ],
-            )
-        )
-        initial_profit = sum(r.initial_profit for r in results)
-        round_profit = sum(r.profit for r in results)
-        history = [round_profit]
-        best_profit = round_profit
-        best_rows = AllocationRows.concatenate([r.rows for r in results])
-        shard_seconds = [r.solve_seconds for r in results]
-
-        for round_index in range(1, rounds + 1):
-            prices = _coordination_prices(config, results)
-            specs, moved_from = _reassign_stragglers(system, specs, results)
-            by_shard = {r.shard_id: r for r in results}
-            tasks = []
-            for i, spec in enumerate(specs):
-                prev = by_shard[spec.shard_id]
-                rows = _strip_clients(
-                    prev.rows, moved_from.get(spec.shard_id, set())
-                )
-                # Shards whose client set changed (donors and receivers)
-                # fail the worker-side spec comparison and rebuild cold
-                # from these rows; unchanged shards warm-continue only
-                # when the nonce proves their resident state produced
-                # exactly the rows the coordinator holds.
-                tasks.append(
-                    (spec, rows, int(seeds[round_index, i]), prices, prev.nonce)
-                )
-            results = list(pool.map(_shard_improve_task, tasks))
-            round_profit = sum(r.profit for r in results)
-            history.append(round_profit)
-            shard_seconds.extend(r.solve_seconds for r in results)
-            if round_profit > best_profit:
-                best_profit = round_profit
-                best_rows = AllocationRows.concatenate([r.rows for r in results])
-
-        self._record_shard_seconds(shard_seconds)
-        return self._finalize(
-            system, pool, best_rows, initial_profit, history, started
+            groups = _super_shard_groups(count)
+        else:
+            groups = [range(count)]
+        best_rows, initial_profit, history = self._coordinate(
+            system, specs, groups, pool, seeds
         )
 
-    def _solve_two_tier(
+        merged = Allocation.from_rows(best_rows)
+        if config.shard_final_rounds > 0:
+            merged, polish_history = self._polish_merged(system, merged)
+            history.extend(polish_history)
+        # Same scoring discipline as the unsharded allocator: an unserved
+        # client (one no shard managed to place) marks the breakdown
+        # infeasible rather than being silently dropped.
+        breakdown = evaluate_profit(system, merged)
+        return AllocationResult(
+            allocation=merged,
+            breakdown=breakdown,
+            initial_profit=initial_profit,
+            profit_history=history,
+            rounds=len(history) - 1,
+            runtime_seconds=time.perf_counter() - started,
+        )
+
+    def _coordinate(
         self,
         system: CloudSystem,
         specs: List[ShardSpec],
+        groups: List[range],
         pool,
         seeds: np.ndarray,
-        started: float,
-    ) -> AllocationResult:
-        """Level-2 topology: super-shard groups between shards and root.
+    ) -> Tuple[AllocationRows, float, List[float]]:
+        """Shard solves and coordination rounds over groups of shards.
 
-        The shard *plan* is the flat plan; only the coordination topology
-        changes.  Shards are grouped into ~sqrt(S) contiguous super-shards
-        (:func:`_super_shard_groups`).  Each super-shard dispatches its
-        member shards and merges their row tables once per round; the
-        root then merges the ~sqrt(S) group tables — so every
-        ``AllocationRows.concatenate`` call sees one level's children,
-        never all S row sets at once, yet the final table is
+        ``groups`` partitions the shard indices into contiguous ranges:
+        one range over every shard is the flat coordinator, ~sqrt(S)
+        ranges (:func:`_super_shard_groups`) the two-tier one.  The shard
+        *plan* is the same either way; only the coordination topology
+        changes.  Each group dispatches its member shards and merges
+        their row tables once per round; the root then merges the group
+        tables — so with several groups no ``AllocationRows.concatenate``
+        call sees all S row sets at once, yet the final table is
         bitwise-identical to the flat merge of the same results
         (concatenation in shard order is associative; property-tested).
         Prices stay global — the usage summaries are summed in shard
-        order, the same accumulation the flat coordinator performs —
-        while straggler reassignment is confined within each super-shard
-        (a donor's rows and a receiver's spec then never cross a group
-        boundary, keeping every group merge self-contained).
+        order whatever the grouping — while straggler reassignment is
+        confined within each group (a donor's rows and a receiver's spec
+        then never cross a group boundary, keeping every group merge
+        self-contained).
 
         With ``shard_coordination_rounds == 0`` the per-shard results are
         released as soon as their group is merged, bounding peak memory
-        by one group's row tables plus the running merges — the
-        million-client profile.
+        by one group's row tables plus the running merges — the scale
+        profile.
+
+        Returns the best round's merged rows, the summed initial
+        (pre-local-search) profit and the per-round profit history.
         """
-        config = self.config
-        count = len(specs)
-        groups = _super_shard_groups(count)
-        rounds = config.shard_coordination_rounds
+        rounds = self.config.shard_coordination_rounds
         shard_seconds: List[float] = []
 
         group_results: List[List[ShardRoundResult]] = []
         group_rows: List[AllocationRows] = []
-        # Per-shard profits are collected in flat shard order and summed
-        # once: summing per group and then across groups would change the
-        # float accumulation order and drift a ulp from the flat
-        # coordinator's totals.
+        # Per-shard profits are collected in shard order and summed once:
+        # summing per group and then across groups would make the float
+        # accumulation order, hence the totals' last bits, depend on the
+        # grouping.
         initial_profits: List[float] = []
         round_profits: List[float] = []
         for group in groups:
@@ -794,7 +660,7 @@ class ShardedAllocator:
 
         for round_index in range(1, rounds + 1):
             prices = _coordination_prices(
-                config, [r for results in group_results for r in results]
+                self.config, [r for results in group_results for r in results]
             )
             new_group_results: List[List[ShardRoundResult]] = []
             new_group_rows: List[AllocationRows] = []
@@ -814,6 +680,11 @@ class ShardedAllocator:
                     rows = _strip_clients(
                         prev.rows, moved_from.get(spec.shard_id, set())
                     )
+                    # Shards whose client set changed (donors and
+                    # receivers) fail the worker-side spec comparison and
+                    # rebuild cold from these rows; unchanged shards
+                    # warm-continue only when the nonce proves their
+                    # resident state produced exactly these rows.
                     tasks.append(
                         (spec, rows, int(seeds[round_index, i]), prices, prev.nonce)
                     )
@@ -831,46 +702,12 @@ class ShardedAllocator:
                 best_profit = round_profit
                 best_rows = AllocationRows.concatenate(new_group_rows)
 
-        self._record_shard_seconds(shard_seconds)
-        return self._finalize(
-            system, pool, best_rows, initial_profit, history, started
-        )
-
-    def _record_shard_seconds(self, shard_seconds: List[float]) -> None:
-        if shard_seconds:
-            self.last_telemetry["shard_solve_seconds_total"] = sum(shard_seconds)
-            self.last_telemetry["shard_solve_seconds_max"] = max(shard_seconds)
-
-    def _finalize(
-        self,
-        system: CloudSystem,
-        pool,
-        best_rows: AllocationRows,
-        initial_profit: float,
-        history: List[float],
-        started: float,
-    ) -> AllocationResult:
-        """Shared tail of both topologies: polish, score, package."""
-        config = self.config
-        merged = Allocation.from_rows(best_rows)
-        if config.shard_final_rounds > 0:
-            merged, polish_history = self._polish_merged(system, merged, pool)
-            history.extend(polish_history)
-        # Same scoring discipline as the unsharded allocator: an unserved
-        # client (one no shard managed to place) marks the breakdown
-        # infeasible rather than being silently dropped.
-        breakdown = evaluate_profit(system, merged)
-        return AllocationResult(
-            allocation=merged,
-            breakdown=breakdown,
-            initial_profit=initial_profit,
-            profit_history=history,
-            rounds=len(history) - 1,
-            runtime_seconds=time.perf_counter() - started,
-        )
+        self.last_telemetry["shard_solve_seconds_total"] = sum(shard_seconds)
+        self.last_telemetry["shard_solve_seconds_max"] = max(shard_seconds)
+        return best_rows, initial_profit, history
 
     def _polish_merged(
-        self, system: CloudSystem, merged: Allocation, pool
+        self, system: CloudSystem, merged: Allocation
     ) -> Tuple[Allocation, List[float]]:
         """The hierarchy's repair step: global rounds on the merged state.
 
@@ -879,16 +716,8 @@ class ShardedAllocator:
         whole system, so clients re-disperse onto any server and the
         usual tolerance exit applies.  This closes most of the partition
         gap (measured in BENCH_scale.json).
-
-        With ``config.parallel_polish`` the improvement rounds are
-        instead partitioned by cluster across the worker pool
-        (:func:`_polish_cluster_task`) and followed by the sequential
-        cross-cluster reassignment passes, exactly the
-        :class:`~repro.core.distributed.DistributedAllocator` recipe.
         """
         config = self.config
-        if config.parallel_polish:
-            return self._polish_merged_parallel(system, merged, pool)
         state = WorkingState(system, merged)
         if config.use_delta_scoring:
             DeltaScorer(state, validate=config.validate_delta_scoring)
@@ -913,70 +742,4 @@ class ShardedAllocator:
             if new_profit <= profit + config.improvement_tolerance:
                 break
             profit = new_profit
-        return state.allocation, history
-
-    def _polish_merged_parallel(
-        self, system: CloudSystem, merged: Allocation, pool
-    ) -> Tuple[Allocation, List[float]]:
-        """Cluster-partitioned polish rounds + sequential cross-cluster pass.
-
-        Each round ships every populated cluster's slice of the merged
-        allocation (compact row deltas against the pool's shared system)
-        to :func:`_polish_cluster_task`, concatenates the returned row
-        tables, and keeps going while the merged profit improves.  The
-        per-cluster moves (share adjustment, dispersion, power control,
-        straggler placement) are exactly a polish round's cluster-local
-        content; the one cross-cluster move — reassignment — runs
-        sequentially afterwards, with the same two-pass/tolerance
-        schedule :class:`~repro.core.distributed.DistributedAllocator`
-        uses.  Not bit-comparable to the sequential polish (clusters no
-        longer see each other inside a round), which is why the knob
-        defaults off; the result is audited by the same caller.
-        """
-        config = self.config
-        rng = np.random.default_rng(config.seed)
-        history: List[float] = []
-        profit = evaluate_profit(
-            system, merged, require_all_served=False
-        ).total_profit
-        allocation = merged
-        for _ in range(config.shard_final_rounds):
-            cluster_ids = [
-                kid
-                for kid in system.cluster_ids()
-                if allocation.clients_in_cluster(kid)
-            ]
-            if not cluster_ids:
-                break
-            round_seeds = rng.integers(0, 2**31 - 1, size=len(cluster_ids))
-            tasks = [
-                (kid, distributed._cluster_rows(allocation, kid), int(seed))
-                for kid, seed in zip(cluster_ids, round_seeds)
-            ]
-            pieces = list(pool.map(_polish_cluster_task, tasks))
-            allocation = Allocation.from_rows(AllocationRows.concatenate(pieces))
-            new_profit = evaluate_profit(
-                system, allocation, require_all_served=False
-            ).total_profit
-            history.append(new_profit)
-            if new_profit <= profit + config.improvement_tolerance:
-                break
-            profit = new_profit
-        state = WorkingState(system, allocation)
-        maybe_attach_cache(state, config)
-        # A client no shard ever assigned appears in no cluster task; the
-        # sequential polish rescues those through the improvement round's
-        # straggler placement, so this path must too — serving every
-        # client is constraint (6), not a preference.
-        ResourceAllocator(config)._place_stragglers(state)
-        if config.include_cluster_reassignment:
-            for _ in range(2):
-                delta = reassignment_pass(state, config, rng)
-                history.append(
-                    evaluate_profit(
-                        system, state.allocation, require_all_served=False
-                    ).total_profit
-                )
-                if delta <= config.improvement_tolerance:
-                    break
         return state.allocation, history

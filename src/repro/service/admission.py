@@ -41,9 +41,7 @@ t_comm)``, in utilization-time units) directly from a revenue rate in
 $/time.  The two terms only share units after the demand is priced:
 multiplying by a power coefficient in $/utilization (the fleet's mean
 ``P1`` by default, :func:`fleet_cost_coefficient`) lands both sides in
-$/time.  :func:`static_admit_priority` takes that coefficient;
-``cost_coefficient=None`` reproduces the legacy unpriced proxy so
-recorded shed decisions stay replayable.
+$/time.  :func:`static_admit_priority` takes that coefficient.
 
 **Dynamic pricing.**  A :class:`PricingSchedule` maps the engine's
 deterministic load index (fraction of fleet processing capacity in use)
@@ -63,7 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, TYPE_CHECKING
+from typing import Tuple, TYPE_CHECKING
 
 from repro.core.assign import estimate_marginal_profit
 from repro.exceptions import ConfigurationError
@@ -87,8 +85,8 @@ def fleet_cost_coefficient(system: CloudSystem) -> float:
 
     The price that converts a client's utilization demand into the same
     $/time units as its revenue rate; the default coefficient for
-    :func:`static_admit_priority`.  Falls back to 1.0 (the legacy
-    behavior) for a fleet with no servers.
+    :func:`static_admit_priority`.  Falls back to 1.0 (demand priced
+    at par) for a fleet with no servers.
     """
     p1s = [server.server_class.power_per_util for server in system.servers()]
     if not p1s:
@@ -96,21 +94,15 @@ def fleet_cost_coefficient(system: CloudSystem) -> float:
     return sum(p1s) / len(p1s)
 
 
-def static_admit_priority(
-    client: Client, cost_coefficient: Optional[float] = None
-) -> float:
+def static_admit_priority(client: Client, cost_coefficient: float) -> float:
     """Static marginal-profit proxy: revenue rate minus priced demand.
 
     Best-case revenue rate (the SLA utility at zero response time times
     the agreed rate) minus the client's utilization demand scaled by
     ``cost_coefficient`` ($/utilization — see
-    :func:`fleet_cost_coefficient`).  ``None`` keeps the legacy unpriced
-    subtraction (coefficient 1.0 applied to raw demand), reachable so
-    shed decisions recorded before the units fix replay identically.
+    :func:`fleet_cost_coefficient`).
     """
     demand = client.rate_predicted * (client.t_proc + client.t_comm)
-    if cost_coefficient is None:
-        return client.revenue(0.0) - demand
     return client.revenue(0.0) - cost_coefficient * demand
 
 

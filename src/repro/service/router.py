@@ -125,9 +125,7 @@ class RouterPolicy:
     ``admit_cost_coefficient`` — price per unit of utilization demand
     used by the static shed proxy (see :func:`admit_priority`).
     ``None`` (the default) derives it from the fleet's mean marginal
-    power price ``P1``.  ``legacy_admit_priority`` restores the pre-fix
-    unpriced proxy (revenue minus raw demand) for byte-for-byte replay
-    of old shed decisions.
+    power price ``P1``.
     """
 
     num_shards: int = 4
@@ -135,7 +133,6 @@ class RouterPolicy:
     batch_size: int = 16
     pending_budget: Optional[int] = None
     admit_cost_coefficient: Optional[float] = None
-    legacy_admit_priority: bool = False
 
     def __post_init__(self) -> None:
         if self.num_shards < 1:
@@ -160,16 +157,9 @@ class RouterPolicy:
                     "admit_cost_coefficient must be >= 0, got "
                     f"{self.admit_cost_coefficient}"
                 )
-            if self.legacy_admit_priority:
-                raise ConfigurationError(
-                    "admit_cost_coefficient conflicts with "
-                    "legacy_admit_priority (the legacy proxy is unpriced)"
-                )
 
 
-def admit_priority(
-    client: Client, cost_coefficient: Optional[float] = None
-) -> float:
+def admit_priority(client: Client, cost_coefficient: float) -> float:
     """Static marginal-profit proxy used to rank admits for shedding.
 
     Best-case revenue rate (the SLA utility at zero response time times
@@ -177,9 +167,7 @@ def admit_priority(
     demand (predicted rate times total per-request service demand)
     priced at ``cost_coefficient`` dollars per unit of utilization —
     normally the fleet's mean marginal power price ``P1``, which puts
-    both terms in $/time.  ``None`` reproduces the legacy unpriced
-    proxy (raw demand subtracted from a revenue rate), kept reachable
-    so old shed decisions replay exactly.  A cheap stand-in for the
+    both terms in $/time.  A cheap stand-in for the
     eq.-(16) marginal curve that needs no engine state, so the router
     can rank a queue without touching a shard.
     """
@@ -227,6 +215,8 @@ class _ShardLane:
         self.admits: Dict[int, Tuple[float, ClientAdmit]] = {}
         self.wakeup = asyncio.Event()
         self.space = asyncio.Event()
+        #: the async-mode task draining this lane in the latest run.
+        self.consumer: Optional["asyncio.Task[None]"] = None
         self.offered = 0
         self.applied = 0
         self.shed = 0
@@ -356,9 +346,7 @@ class ServiceRouter:
         self._engine_policy = policy
         self.admission = admission if admission is not None else AlwaysAdmitIfFeasible()
         self.pricing = pricing
-        if self.policy.legacy_admit_priority:
-            self.admit_cost_coefficient: Optional[float] = None
-        elif self.policy.admit_cost_coefficient is not None:
+        if self.policy.admit_cost_coefficient is not None:
             self.admit_cost_coefficient = self.policy.admit_cost_coefficient
         else:
             self.admit_cost_coefficient = fleet_cost_coefficient(system)
@@ -521,6 +509,7 @@ class ServiceRouter:
         """Closed-loop enqueue: await a free slot instead of shedding."""
         lane = self._lanes[self.shard_of(event)]
         while len(lane.queue) >= self.policy.queue_budget:
+            self._raise_if_consumer_died(lane)
             lane.space.clear()
             if len(lane.queue) < self.policy.queue_budget:
                 break
@@ -559,8 +548,32 @@ class ServiceRouter:
             # lanes interleave between repair commits.
             await asyncio.sleep(0)
 
+    def _start_consumers(self) -> List["asyncio.Task[None]"]:
+        for lane in self._lanes:
+            lane.consumer = asyncio.create_task(self._drain_lane(lane))
+            # Wake a producer blocked in submit() whenever the consumer
+            # ends, so a consumer that died is noticed, not awaited.
+            lane.consumer.add_done_callback(
+                lambda _task, lane=lane: lane.space.set()
+            )
+        return [lane.consumer for lane in self._lanes]
+
+    @staticmethod
+    def _raise_if_consumer_died(lane: _ShardLane) -> None:
+        """Re-raise the fault that ended ``lane``'s consumer, if any.
+
+        A consumer returns only once the run is closing, so one that is
+        done mid-run died on an exception other than a rejected event
+        (:class:`ServiceError`); its lane would never drain again.
+        """
+        consumer = lane.consumer
+        if consumer is not None and consumer.done() and not consumer.cancelled():
+            consumer.result()
+
     async def _run_to_completion(self) -> None:
         while any(lane.queue for lane in self._lanes):
+            for lane in self._lanes:
+                self._raise_if_consumer_died(lane)
             await asyncio.sleep(0)
         self._closing = True
         for lane in self._lanes:
@@ -572,9 +585,7 @@ class ServiceRouter:
         """Feed timestamped bursts open-loop (see :mod:`repro.service.loadgen`);
         drains every queue, then returns :meth:`report` with wall time."""
         started = time.perf_counter()
-        consumers = [
-            asyncio.create_task(self._drain_lane(lane)) for lane in self._lanes
-        ]
+        consumers = self._start_consumers()
         try:
             for burst in bursts:
                 for event in burst.events:
@@ -601,6 +612,7 @@ class ServiceRouter:
     def _start_workers(self) -> None:
         ctx = multiprocessing.get_context("fork")
         for lane in self._lanes:
+            lane.summary = None
             parent_conn, child_conn = ctx.Pipe()
             lane.conn = parent_conn
             lane.proc = ctx.Process(
@@ -643,7 +655,13 @@ class ServiceRouter:
             return
         for conn in connection_wait(conns, timeout=0.05 if block else 0):
             lane = next(l for l in self._lanes if l.conn is conn)
-            applied, rejected, pending = conn.recv()
+            try:
+                applied, rejected, pending = conn.recv()
+            except EOFError:
+                raise ServiceError(
+                    f"shard {lane.shard_id} engine worker exited mid-batch "
+                    "(its traceback is on stderr)"
+                ) from None
             lane.applied += applied
             lane.rejected += rejected
             lane.worker_pending = pending
@@ -681,6 +699,10 @@ class ServiceRouter:
     def _teardown_workers(self) -> None:
         for lane in self._lanes:
             if lane.proc is not None:
+                if lane.summary is None:
+                    # The run failed before this worker got its stop
+                    # sentinel: it is blocked waiting for a next batch.
+                    lane.proc.terminate()
                 lane.proc.join(timeout=10)
                 if lane.proc.is_alive():
                     lane.proc.terminate()
@@ -696,9 +718,7 @@ class ServiceRouter:
     ) -> Dict[str, Any]:
         """Feed a flat stream with backpressure; nothing is ever shed."""
         started = time.perf_counter()
-        consumers = [
-            asyncio.create_task(self._drain_lane(lane)) for lane in self._lanes
-        ]
+        consumers = self._start_consumers()
         try:
             for event in events:
                 await self.submit(event)

@@ -89,20 +89,14 @@ class TestStaticPriority:
         """The crafted inversion: high demand but cheap power.
 
         Client A earns 6 with demand 5; client B earns 3 with demand
-        0.5.  The legacy unpriced proxy ranks B above A (1 < 2.5), but
-        at a fleet power price of 0.2 $/utilization A's priced margin
-        (5.0) beats B's (2.9) — the units bug inverted the shed order.
+        0.5.  Demand priced at par (the order raw demand gives) ranks B
+        above A (1 < 2.5), but at a fleet power price of 0.2
+        $/utilization A's priced margin (5.0) beats B's (2.9).
         """
         a = _client(1, v=6.0, t_proc=2.5, t_comm=2.5)
         b = _client(2, v=3.0, t_proc=0.25, t_comm=0.25)
-        assert static_admit_priority(a) < static_admit_priority(b)
+        assert static_admit_priority(a, 1.0) < static_admit_priority(b, 1.0)
         assert static_admit_priority(a, 0.2) > static_admit_priority(b, 0.2)
-
-    def test_none_reproduces_legacy_values(self):
-        c = _client(1, v=3.0, rate=2.0, t_proc=0.5, t_comm=0.5)
-        assert static_admit_priority(c) == pytest.approx(
-            c.revenue(0.0) - c.rate_predicted * (c.t_proc + c.t_comm)
-        )
 
     def test_fleet_cost_coefficient_is_mean_p1(self):
         system = _fleet(num_servers=3, p1=0.7)
@@ -112,17 +106,6 @@ class TestStaticPriority:
         system = _fleet(num_servers=2, p1=0.9)
         router = ServiceRouter(system, config=SOLVER, policy=POLICY)
         assert router.admit_cost_coefficient == pytest.approx(0.9)
-        legacy = ServiceRouter(
-            system,
-            router=RouterPolicy(legacy_admit_priority=True),
-            config=SOLVER,
-            policy=POLICY,
-        )
-        assert legacy.admit_cost_coefficient is None
-
-    def test_coefficient_conflicts_with_legacy_flag(self):
-        with pytest.raises(ConfigurationError):
-            RouterPolicy(admit_cost_coefficient=0.5, legacy_admit_priority=True)
 
 
 # -- policy objects -----------------------------------------------------------

@@ -1,6 +1,8 @@
 """Tests for the sharded async service tier (router, shedding, failover)."""
 
+import asyncio
 import dataclasses
+import itertools
 
 import pytest
 
@@ -21,7 +23,9 @@ from repro.service import (
     flatten_bursts,
     generate_load,
 )
+from repro.service.engine import AllocationService
 from repro.workload import generate_system
+from repro.workload.overload import overload_system
 
 GOLD = UtilityClass(0, ClippedLinearUtility(base_value=3.0, slope=1.0), "gold")
 
@@ -329,7 +333,70 @@ class TestProcessMode:
                 assert live == replayed
 
 
+class TestDeadConsumer:
+    """A shard engine that fails with anything but a rejected event
+    (:class:`ServiceError`) ends the run with that failure, in both
+    loops and both modes, instead of leaving the router waiting on a
+    lane nobody drains."""
+
+    def _setup(self, mode):
+        system = overload_system(12, seed=3)
+        router = ServiceRouter(
+            system,
+            router=RouterPolicy(num_shards=2, queue_budget=4, batch_size=2),
+            config=SOLVER,
+            policy=POLICY,
+            mode=mode,
+        )
+        bursts = generate_load(
+            system, LoadGenConfig(num_events=200, arrival_rate=300.0, seed=5)
+        )
+        return router, bursts
+
+    @staticmethod
+    def _fail_on_fifth_event(apply):
+        calls = itertools.count(1)
+
+        def faulty(*args):
+            if next(calls) == 5:
+                raise RuntimeError("engine 0 fault")
+            return apply(*args)
+
+        return faulty
+
+    @pytest.mark.parametrize("loop", ["open", "closed"])
+    def test_async_loop_reraises_the_fault(self, loop):
+        router, bursts = self._setup("async")
+        engine = router.engines[0]
+        engine.apply = self._fail_on_fifth_event(engine.apply)
+        if loop == "open":
+            run = router.run_open_loop_async(bursts)
+        else:
+            run = router.run_closed_loop_async(flatten_bursts(bursts))
+        with pytest.raises(RuntimeError, match="engine 0 fault"):
+            asyncio.run(asyncio.wait_for(run, 10))
+
+    @pytest.mark.parametrize("loop", ["open", "closed"])
+    def test_process_loop_raises_when_a_worker_dies(self, loop, monkeypatch):
+        router, bursts = self._setup("process")
+        original = AllocationService.apply
+        faulty = self._fail_on_fifth_event(original)
+
+        def shard_zero_fails(engine, event):
+            if engine.system.name.endswith("/shard-0"):
+                return faulty(engine, event)
+            return original(engine, event)
+
+        # Forked workers inherit the patched class.
+        monkeypatch.setattr(AllocationService, "apply", shard_zero_fails)
+        with pytest.raises(ServiceError, match="shard 0"):
+            if loop == "open":
+                router.run_open_loop(bursts)
+            else:
+                router.run_closed_loop(flatten_bursts(bursts))
+
+
 def test_admit_priority_orders_by_margin():
     rich = _admit(1, rate=5.0)
     poor = _admit(2, rate=0.1)
-    assert admit_priority(rich.client) > admit_priority(poor.client)
+    assert admit_priority(rich.client, 1.0) > admit_priority(poor.client, 1.0)

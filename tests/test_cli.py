@@ -34,26 +34,6 @@ class TestCli:
         out = capsys.readouterr().out
         assert "profit" in out
 
-    def test_solve_adaptive_shards_flag_accepted(self, capsys):
-        # Tiny instances skip the probe (below the probe floor) but the
-        # flag must parse and the solve must still succeed.
-        assert (
-            main(
-                [
-                    "solve",
-                    "--clients", "10",
-                    "--seed", "1",
-                    "--rounds", "1",
-                    "--shards", "2",
-                    "--workers", "1",
-                    "--adaptive-shards",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "profit" in out
-
     def test_solve_rejects_bad_shard_levels(self):
         with pytest.raises(SystemExit):
             main(["solve", "--clients", "6", "--shard-levels", "3"])
