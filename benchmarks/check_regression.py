@@ -46,8 +46,10 @@ the committed ``BENCH_service.json``::
 the overload profit cells from ``benchmarks/bench_admission.py`` (which
 themselves assert that the ``opportunity_cost`` policy strictly beats
 ``always_admit_if_feasible`` on every cell, and hash-assert per-policy
-journal replay), then compares best-of-N per-decision latency against
-the committed ``BENCH_admission.json``::
+journal replay), requires each policy row to reproduce the committed
+``BENCH_admission.json`` row exactly (profit, admit counts, pending
+queue, invalid events, snapshot hash), then compares best-of-N
+per-decision latency against the committed file::
 
     PYTHONPATH=src python benchmarks/check_regression.py \
         --suite admission --threshold 0.10
@@ -278,16 +280,31 @@ def check_service_suite(baseline_path: Path, threshold: float) -> list:
     return problems
 
 
+#: Per-policy fields of a committed admission profit cell that a re-run
+#: must reproduce exactly: admission decisions are deterministic, so any
+#: drift in them is a behavior change, not noise.
+ADMISSION_EXACT_FIELDS = (
+    "profit",
+    "admits_accepted",
+    "admits_rejected",
+    "pending_clients",
+    "invalid_events",
+    "snapshot_hash",
+)
+
+
 def check_admission_suite(baseline_path: Path, threshold: float) -> list:
-    """The admission-control gate: profit dominance + decision latency.
+    """The admission-control gate: exact profit cells + decision latency.
 
     Re-runs the committed overload profit cells —
     ``bench_admission.bench_policy_cell`` itself raises when the
     ``opportunity_cost`` policy fails to strictly beat the always-admit
-    baseline, or when any policy's journal replay diverges, so reaching
-    the latency comparison proves both invariants.  The latency gate
-    then compares best-of-N mean per-decision cost against the committed
-    baseline, per policy, subject to the absolute floor.
+    baseline, or when any policy's journal replay diverges — and
+    requires every policy row to match the committed one exactly on
+    :data:`ADMISSION_EXACT_FIELDS`, so reaching the latency comparison
+    proves all three.  The latency gate then compares best-of-N mean
+    per-decision cost against the committed baseline, per policy,
+    subject to the absolute floor.
     """
     if not baseline_path.exists():
         return [f"no baseline at {baseline_path}; run bench_admission.py first"]
@@ -297,12 +314,34 @@ def check_admission_suite(baseline_path: Path, threshold: float) -> list:
         return [
             f"{baseline_path} has no decision_latency section; regenerate it"
         ]
+    base_cells = {
+        cell["trace_seed"]: cell for cell in baseline.get("profit_cells", [])
+    }
     problems = []
     for seed in bench_admission.TRACE_SEEDS:
+        base_cell = base_cells.get(seed)
+        if base_cell is None:
+            problems.append(
+                f"{baseline_path} has no profit cell for trace seed {seed}; "
+                "regenerate it"
+            )
+            continue
         try:
-            bench_admission.bench_policy_cell(trace_seed=seed)
+            cell = bench_admission.bench_policy_cell(trace_seed=seed)
         except AssertionError as exc:
             problems.append(str(exc))
+            continue
+        for name, base_row in base_cell["policies"].items():
+            row = cell["policies"].get(name)
+            if row is None:
+                problems.append(f"admission trace {seed}: policy {name} missing")
+                continue
+            for field in ADMISSION_EXACT_FIELDS:
+                if row[field] != base_row[field]:
+                    problems.append(
+                        f"admission trace {seed} {name}: {field} "
+                        f"{base_row[field]!r} -> {row[field]!r}"
+                    )
     if problems:
         return problems
     attempts = [
@@ -384,7 +423,7 @@ def main() -> int:
             return 1
         print(
             f"admission suite within {args.threshold * 100:.0f}% of baseline "
-            "(profit dominance and per-policy replay asserted)"
+            "(profit dominance, per-policy replay and exact cells asserted)"
         )
         return 0
 

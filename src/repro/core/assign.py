@@ -80,6 +80,15 @@ EntryTriple = Tuple[float, float, float]
 #: ``benchmarks/check_regression.py``.
 CURVE_SCALAR_CROSSOVER_CELLS = 72
 
+#: Rounding room of the cluster screen in :func:`best_placement`: a
+#: cluster is dropped only when its summed headroom misses the client's
+#: need by more than this share of the need plus this share of the
+#: cluster's summed capacity.  Both dwarf the few-ulp error of the
+#: kernel's per-server floor test and of the headroom sums, so rounding
+#: can never drop a cluster the kernel would accept.
+SCREEN_RELATIVE_SLACK = 1e-9
+SCREEN_CAPACITY_SLACK = 1e-12
+
 
 @dataclass(frozen=True)
 class CandidatePlacement:
@@ -694,11 +703,18 @@ def best_placement(
     """``Assign_Distribute`` across clusters: pick the most profitable one.
 
     ``excluded_server_ids`` removes servers from every candidate cluster
-    (the online service uses it to place around failed servers).
+    (the online service uses it to place around failed servers).  The
+    production path first drops the clusters whose summed headroom
+    cannot carry the client (:func:`_clusters_with_room`) and returns
+    ``None`` without building a curve when none is left; the scalar
+    path stays unscreened as the reference.
     """
     kids = list(cluster_ids or state.system.cluster_ids())
     excluded = excluded_server_ids or frozenset()
     if config.use_vectorized_kernels:
+        kids = _clusters_with_room(state, client, config, kids, excluded)
+        if not kids:
+            return None
         cache = state.cache
         if cache is not None:
             return _best_placement_cached(state, client, kids, config, excluded, cache)
@@ -713,6 +729,125 @@ def best_placement(
     if not candidates:
         return None
     return max(candidates, key=lambda p: p.estimated_profit)
+
+
+def _clusters_with_room(
+    state: WorkingState,
+    client: Client,
+    config: SolverConfig,
+    kids: List[int],
+    excluded: AbstractSet[int],
+) -> List[int]:
+    """``kids`` minus the clusters that provably cannot host ``client``.
+
+    A server taking a share ``a_j`` of the client's traffic must give it
+    at least the M/M/1 floor ``a_j*lambda*t/C_j*stability_margin +
+    min_share`` of each resource, so summing under ``sum(a_j) = 1`` a
+    cluster can host the client only if ``sum(max(free_j - min_share,
+    0)*C_j) >= lambda*t*stability_margin`` over its non-excluded servers,
+    for processing and bandwidth alike.  The test is necessary, not
+    sufficient: storage, the grid and the DP still decide among the
+    clusters that pass, and dropping one that fails changes no result.
+    """
+    position, top_p, top_b = _cluster_headroom(state, config.min_share, excluded)
+    stretch = (
+        client.rate_predicted
+        * config.stability_margin
+        * (1.0 - SCREEN_RELATIVE_SLACK)
+    )
+    need_p = stretch * client.t_proc
+    need_b = stretch * client.t_comm
+    return [
+        kid
+        for kid in kids
+        if not (top_p[position[kid]] < need_p or top_b[position[kid]] < need_b)
+    ]
+
+
+def _cluster_headroom(
+    state: WorkingState,
+    min_share: float,
+    excluded: AbstractSet[int],
+) -> Tuple[Dict[int, int], List[float], List[float]]:
+    """Per-cluster summed headroom, padded with the capacity slack.
+
+    Returns ``(position, top_p, top_b)``: ``top_p[position[kid]]`` is
+    ``sum((max(free - min_share, 0) + SCREEN_CAPACITY_SLACK) * C)`` over
+    the cluster's non-excluded servers (``-inf`` for a cluster without
+    servers), ``top_b`` its bandwidth twin.  Storage is ignored, so the
+    sums cover a superset of the usable servers and hold for every
+    client.  They are rebuilt from the dense arrays only when the state
+    has mutated since the last call, or ``min_share`` or the excluded set
+    changed: a retry pass or an admission burst probes one state many
+    times.  Every entry write bumps the allocation's monotone
+    ``mutation_epoch``, and every bulk rebuild of the aggregates (restore,
+    canonicalize) drops the memo, so the epoch is the mutation count.
+    """
+    mutations = state.allocation.mutation_epoch
+    memo = state._screen_memo
+    if (
+        memo is not None
+        and memo[0] == mutations
+        and memo[1] == min_share
+        and memo[2] == excluded
+    ):
+        return memo[3]
+    layout = state._screen_layout
+    if layout is None or layout[0] != min_share:
+        layout = state._screen_layout = _screen_layout(state, min_share)
+    _, position, order, starts, avail, caps, head = layout
+    np.subtract(avail[0], state._used_p_arr, out=head[0])
+    np.subtract(avail[1], state._used_b_arr, out=head[1])
+    np.maximum(head, SCREEN_CAPACITY_SLACK, out=head)
+    head *= caps
+    if excluded:
+        index = state._sid_index
+        head[:, [index[sid] for sid in excluded if sid in index]] = 0.0
+    top_p: List[float] = []
+    top_b: List[float] = []
+    if starts.size:
+        summed = head if order is None else head[:, order]
+        top_p, top_b = np.add.reduceat(summed, starts, axis=1).tolist()
+    # The row every cluster without servers points at.
+    top_p.append(NEG_INF)
+    top_b.append(NEG_INF)
+    result = (position, top_p, top_b)
+    state._screen_memo = (mutations, min_share, frozenset(excluded), result)
+    return result
+
+
+def _screen_layout(state: WorkingState, min_share: float) -> Tuple:
+    """The static half of :func:`_cluster_headroom`, built once per state.
+
+    ``avail`` holds ``1 - background - min_share + SCREEN_CAPACITY_SLACK``
+    per resource, so one subtraction and one ``np.maximum`` give the
+    padded headroom; ``head`` is the scratch row pair they write into.
+    ``np.add.reduceat`` needs each cluster's servers contiguous and every
+    segment non-empty (an empty one would yield its successor's first
+    element), so only clusters with servers are reduced, in order, and
+    the rest point at one trailing ``-inf`` row.  The dense order is
+    permuted only when those clusters are not already laid out back to
+    back (``order`` is ``None`` when they are).
+    """
+    position: Dict[int, int] = {}
+    parts: List[np.ndarray] = []
+    for kid, arr in state.cluster_index_arrays.items():
+        if arr.size:
+            position[kid] = len(parts)
+            parts.append(arr)
+    for kid in state.cluster_index_arrays:
+        position.setdefault(kid, len(parts))
+    order: Optional[np.ndarray] = None
+    starts = np.zeros(0, dtype=np.intp)
+    if parts:
+        order = np.concatenate(parts)
+        if np.array_equal(order, np.arange(len(state._sid_order))):
+            order = None
+        starts = np.cumsum([0] + [arr.size for arr in parts[:-1]]).astype(np.intp)
+    offset = SCREEN_CAPACITY_SLACK - min_share
+    avail = np.stack((1.0 - state._bg_p_arr, 1.0 - state._bg_b_arr)) + offset
+    caps = np.stack((state._cap_p_arr, state._cap_b_arr))
+    return (min_share, position, order, starts, avail, caps, np.empty_like(avail))
 
 
 def estimate_marginal_profit(
@@ -730,8 +865,10 @@ def estimate_marginal_profit(
     When a :class:`~repro.core.cache.MemoCache` is attached the probe
     reads (and warms) the same curve blocks the subsequent placement
     will use, so estimating then admitting costs one evaluation, not
-    two.  Returns ``-inf`` when no feasible placement exists, so callers
-    can distinguish "unprofitable" from "does not fit".
+    two.  A hopeless probe, one that no cluster passes the capacity
+    screen for, reads and warms no curve block.  Returns ``-inf`` when
+    no feasible placement exists, so callers can distinguish
+    "unprofitable" from "does not fit".
     """
     placement = best_placement(
         state, client, config, excluded_server_ids=excluded_server_ids

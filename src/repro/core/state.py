@@ -161,9 +161,15 @@ class WorkingState:
         }
         #: Per-(price-override, base) dense price vectors, built lazily.
         self._cluster_price_arrays: Dict[Tuple, np.ndarray] = {}
+        #: The cluster screen of ``repro.core.assign.best_placement``: its
+        #: static layout and its last headroom sums, both built lazily.
+        self._screen_layout: Optional[Tuple] = None
+        self._screen_memo: Optional[Tuple] = None
         self._recompute_aggregates()
 
     def _recompute_aggregates(self, rows: Optional[AllocationRows] = None) -> None:
+        # Any aggregate may move, so the placement screen's sums go too.
+        self._screen_memo = None
         if rows is not None:
             self._recompute_aggregates_from_rows(rows)
             return

@@ -596,9 +596,20 @@ class AllocationService:
         evaluated once against the pass's starting state (ties broken by
         queue position), which keeps the pass deterministic and one
         estimate per client; the per-client gate inside
-        :meth:`_retry_one` still sees the live state.
+        :meth:`_retry_one` still sees the live state.  Nothing mutates
+        the state while the list is built, so the whole pass is priced
+        at one load index.
         """
-        entries = [(client, self._reprice(client)) for client in self.pending]
+        if not self.pending:
+            return
+        if self.pricing is None:
+            entries = [(client, self._reprice(client)) for client in self.pending]
+        else:
+            load = self.load_index()
+            entries = [
+                (client, self.pricing.reprice(client, load))
+                for client in self.pending
+            ]
         if self.admission.orders_retries and len(entries) > 1:
             ranked = sorted(
                 range(len(entries)),

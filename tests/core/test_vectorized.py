@@ -8,9 +8,11 @@ otherwise diverge between the two configurations.  Together these checks
 cover several hundred random instances.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.baselines.assignment import (
     build_allocation_for_assignment,
@@ -18,18 +20,32 @@ from repro.baselines.assignment import (
 )
 from repro.config import SolverConfig
 from repro.core.assign import (
+    _clusters_with_room,
     _server_curves,
     assign_distribute,
     batched_server_curves,
     best_placement,
 )
+from repro.core.cache import maybe_attach_cache
+from repro.exceptions import ServiceError
 from repro.optim.dp import (
     NEG_INF,
     brute_force_combination,
     combine_server_curves,
     combine_server_curves_scalar,
 )
-from repro.workload import generate_system
+from repro.service import (
+    AllocationService,
+    LoadGenConfig,
+    OpportunityCost,
+    PricingSchedule,
+    ServerFail,
+    ServicePolicy,
+    flatten_bursts,
+    generate_load,
+)
+from repro.service.driver import empty_copy
+from repro.workload import WorkloadConfig, generate_system, overload_system
 
 SCALAR = SolverConfig(use_vectorized_kernels=False, use_delta_scoring=False)
 VECTOR = SolverConfig()
@@ -84,21 +100,228 @@ def test_assign_distribute_paths_agree(seed):
             assert a.entries == b.entries
 
 
-@pytest.mark.parametrize("seed", range(18, 24))
-def test_best_placement_paths_agree(seed):
-    """The cross-cluster batched path returns what the per-cluster loop would."""
-    state = _random_state(seed)
-    system = state.system
-    for cid in system.client_ids():
-        client = system.client(cid)
-        a = best_placement(state, client, VECTOR)
-        b = best_placement(state, client, SCALAR)
+def _saturated_service(fail_server: bool):
+    """An overloaded admission engine and its template clients.
+
+    Surge-priced opportunity-cost admission on a 12-template overload
+    fleet, fed admits and departs only (rate updates with surge pricing
+    can hang the engine), so most clients no longer fit anywhere.
+    """
+    system = overload_system(12, seed=7)
+    events = flatten_bursts(
+        generate_load(
+            system,
+            LoadGenConfig(
+                num_events=300,
+                arrival_rate=500.0,
+                admit_weight=0.8,
+                depart_weight=0.2,
+                rate_update_weight=0.0,
+                seed=7,
+            ),
+        )
+    )
+    service = AllocationService(
+        empty_copy(system),
+        config=SolverConfig(seed=0),
+        policy=ServicePolicy(drift_threshold=50.0),
+        admission=OpportunityCost(),
+        pricing=PricingSchedule.surge(),
+    )
+    for event in events:
+        try:
+            service.apply(event)
+        except ServiceError:
+            pass  # a depart of a refused client, as the router skips it
+    if fail_server:
+        busiest = max(
+            service.state.server_statics,
+            key=lambda sid: len(service.state.allocation.clients_on_server(sid)),
+        )
+        service.apply(ServerFail(server_id=busiest))
+    return service, system.clients
+
+
+def _placement_probes(case):
+    """(state, probe clients, excluded servers) for one agreement case."""
+    if isinstance(case, int):
+        state = _random_state(case)
+        clients = [state.system.client(cid) for cid in state.system.client_ids()]
+        return state, clients, frozenset()
+    service, templates = _saturated_service(case == "saturated-failed")
+    # Each round of clones scales every template's demand down once more,
+    # so the probes run from hopeless to comfortably placeable.
+    scales = (1.0, 0.3, 0.1, 0.03, 0.01)
+    probes = []
+    for i in range(240):
+        template = templates[i % len(templates)]
+        scale = scales[(i // len(templates)) % len(scales)]
+        probes.append(
+            dataclasses.replace(
+                template,
+                client_id=9_000_000 + i,
+                rate_predicted=template.rate_predicted * scale,
+            )
+        )
+    return service.state, probes, frozenset(service.failed)
+
+
+@pytest.mark.parametrize(
+    "case", [*range(18, 24), "saturated", "saturated-failed"]
+)
+def test_best_placement_paths_agree(case):
+    """The cross-cluster batched path returns what the per-cluster loop would.
+
+    The saturated engine states are where the production path's cluster
+    screen drops clusters (and usually every cluster) before any curve
+    is built; the random states are where nearly every client fits.
+    """
+    state, clients, excluded = _placement_probes(case)
+    hopeless = 0
+    for client in clients:
+        a = best_placement(state, client, VECTOR, excluded_server_ids=excluded)
+        b = best_placement(state, client, SCALAR, excluded_server_ids=excluded)
         if a is None or b is None:
-            assert a is None and b is None, (seed, cid)
+            assert a is None and b is None, (case, client.client_id)
+            hopeless += 1
             continue
         assert a.cluster_id == b.cluster_id
         assert a.estimated_profit == b.estimated_profit
         assert a.entries == b.entries
+    if isinstance(case, str):
+        assert 0 < hopeless < len(clients), (case, hopeless)
+
+
+def _headroom(state, server_ids, min_share, excluded):
+    """Python-float sums of ``max(free - min_share, 0) * C`` per resource."""
+    total_p = total_b = 0.0
+    for sid in server_ids:
+        if sid in excluded:
+            continue
+        statics = state.server_statics[sid]
+        room_p = max(state.free_processing(sid) - min_share, 0.0)
+        room_b = max(state.free_bandwidth(sid) - min_share, 0.0)
+        total_p += room_p * statics.cap_processing
+        total_b += room_b * statics.cap_bandwidth
+    return total_p, total_b
+
+
+def _same_placement(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return (
+        a.cluster_id == b.cluster_id
+        and a.estimated_profit.hex() == b.estimated_profit.hex()
+        and a.entries == b.entries
+    )
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    data=st.data(),
+    seed=st.integers(min_value=0, max_value=10_000),
+    num_clusters=st.integers(min_value=1, max_value=4),
+    per_cluster=st.integers(min_value=1, max_value=5),
+    background=st.sampled_from([0.0, 0.5, 1.0]),
+    placed_share=st.floats(min_value=0.0, max_value=1.0),
+    min_share=st.floats(min_value=1e-9, max_value=0.1),
+    stability_margin=st.floats(min_value=1.0, max_value=2.0),
+    demand=st.sampled_from(["drawn", "tiny", "boundary"]),
+    boundary_gap=st.floats(min_value=-1e-6, max_value=1e-6),
+    zero_storage=st.booleans(),
+)
+def test_cluster_screen_is_sound(
+    data,
+    seed,
+    num_clusters,
+    per_cluster,
+    background,
+    placed_share,
+    min_share,
+    stability_margin,
+    demand,
+    boundary_gap,
+    zero_storage,
+):
+    """The cluster screen only drops clusters the scalar oracle rejects.
+
+    Random fleets with background load and a partial allocation, failed
+    servers excluded, a candidate-cluster subset, and probes whose
+    demand is drawn, tiny (``lambda*t`` near 1e-12) or set within 1e-6
+    (relative) of one cluster's summed headroom.  Every dropped cluster
+    must be one where the unscreened scalar ``assign_distribute`` finds
+    nothing, and the screened ``best_placement`` (uncached, then with a
+    memo cache attached) must equal the scalar one field by field.
+    """
+    system = generate_system(
+        num_clients=8,
+        seed=seed,
+        config=WorkloadConfig(
+            num_clusters=num_clusters,
+            servers_per_cluster=per_cluster,
+            background_load_fraction=background,
+        ),
+    )
+    vector = SolverConfig(min_share=min_share, stability_margin=stability_margin)
+    scalar = dataclasses.replace(
+        vector, use_vectorized_kernels=False, use_delta_scoring=False
+    )
+    rng = np.random.default_rng(seed)
+    placed = {
+        cid: kid
+        for cid, kid in random_assignment(system, rng).items()
+        if rng.random() < placed_share
+    }
+    state = build_allocation_for_assignment(system, placed, scalar)
+
+    server_ids = [s.server_id for s in system.servers()]
+    excluded = frozenset(data.draw(st.sets(st.sampled_from(server_ids))))
+    kids = system.cluster_ids()
+    candidates = data.draw(
+        st.lists(st.sampled_from(kids), min_size=1, max_size=len(kids), unique=True)
+    )
+    template = system.client(data.draw(st.sampled_from(system.client_ids())))
+    probe = dataclasses.replace(
+        template,
+        client_id=1_000_000,
+        storage_req=0.0 if zero_storage else template.storage_req,
+    )
+    if demand == "tiny":
+        probe = dataclasses.replace(probe, rate_predicted=1e-12 / probe.t_proc)
+    elif demand == "boundary":
+        target = data.draw(st.sampled_from(candidates))
+        room_p, room_b = _headroom(
+            state, state.cluster_server_ids[target], min_share, excluded
+        )
+        rate = min(
+            room_p / (probe.t_proc * stability_margin),
+            room_b / (probe.t_comm * stability_margin),
+        ) * (1.0 + boundary_gap)
+        probe = dataclasses.replace(probe, rate_predicted=max(rate, 1e-300))
+
+    kept = _clusters_with_room(state, probe, vector, list(candidates), excluded)
+    for kid in set(candidates) - set(kept):
+        assert (
+            assign_distribute(state, probe, kid, scalar, excluded_server_ids=excluded)
+            is None
+        ), kid
+
+    reference = best_placement(
+        state, probe, scalar, cluster_ids=candidates, excluded_server_ids=excluded
+    )
+    uncached = best_placement(
+        state, probe, vector, cluster_ids=candidates, excluded_server_ids=excluded
+    )
+    assert _same_placement(uncached, reference)
+    maybe_attach_cache(state, vector)
+    cached = best_placement(
+        state, probe, vector, cluster_ids=candidates, excluded_server_ids=excluded
+    )
+    assert _same_placement(cached, reference)
 
 
 def _random_curves(data, num_servers, granularity):
